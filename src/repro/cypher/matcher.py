@@ -8,7 +8,8 @@ Implements Cypher's matching semantics:
   pattern, no relationship is traversed twice (nodes may repeat);
 * variable-length patterns ``*lo..hi`` enumerate all rigid expansions,
   finitely because of relationship uniqueness;
-* ``shortestPath``/``allShortestPaths`` via breadth-first search.
+* ``shortestPath``/``allShortestPaths`` read off breadth-first search
+  trees shared across start/end pairs.
 
 The matcher works against a *scope* of pre-existing bindings (the record
 ``u``), only yielding assignments for names not already bound, exactly as
@@ -53,6 +54,14 @@ EntityRef = Tuple[str, int]
 Footprint = FrozenSet[EntityRef]
 
 _EMPTY_FOOTPRINT: Footprint = frozenset()
+
+_REVERSED = {
+    ast.Direction.OUT: ast.Direction.IN,
+    ast.Direction.IN: ast.Direction.OUT,
+}
+#: A shortest-path BFS tree: node id -> (distance from the root, every
+#: (relationship, neighbour) edge one step closer to the root).
+_Tree = Dict[int, Tuple[int, List[Tuple[Relationship, Node]]]]
 
 
 def footprint_of(nodes: Iterator[Node], rels: Iterator[Relationship]) -> Footprint:
@@ -498,9 +507,12 @@ class PatternMatcher:
         rel_pattern: ast.RelationshipPattern,
         scope: Mapping[str, Any],
         used: UsedRels,
+        direction: Optional[ast.Direction] = None,
     ) -> Iterator[Tuple[Relationship, Node]]:
-        """Candidate (relationship, next node) pairs from ``node``."""
-        direction = rel_pattern.direction
+        """Candidate (relationship, next node) pairs from ``node``;
+        ``direction`` overrides the pattern's own."""
+        if direction is None:
+            direction = rel_pattern.direction
         if self._expand_pairs is not None:
             tag = (
                 "out" if direction is ast.Direction.OUT
@@ -607,6 +619,17 @@ class PatternMatcher:
     def _match_shortest(
         self, path: ast.PathPattern, bindings: Bindings, used: UsedRels
     ) -> Iterator[Tuple[Bindings, UsedRels, Footprint]]:
+        """Shortest paths read off one node-level BFS tree per root.
+
+        Between distinct nodes a shortest walk is a simple path, hence a
+        trail, so whenever the tree distance reaches the pattern's lower
+        bound the tree's paths are exactly what the per-pair walk search
+        (:meth:`_bfs_shortest`) returns; that search runs only when the
+        distance falls below the bound (including start == end).  A tree
+        is shared across pairs when the relationship filter is literal,
+        rooted on the endpoint side with fewer candidates; otherwise it
+        is built per pair under the pair's bindings.
+        """
         if len(path.relationships) != 1:
             raise CypherEvaluationError(
                 "shortestPath() requires a single relationship pattern"
@@ -617,20 +640,60 @@ class PatternMatcher:
         )
         low = 1 if low is None else low
         want_all = path.shortest == "allShortestPaths"
-        for start in self._node_candidates(path.nodes[0], bindings):
-            start_bindings = self._bind_node(path.nodes[0], start, bindings)
-            if start_bindings is None:
-                continue
-            for end in self._node_candidates(path.nodes[1], start_bindings):
-                end_bindings = self._bind_node(path.nodes[1], end, start_bindings)
+        start_pattern, end_pattern = path.nodes
+        slot = self._count_slot(path, -1)
+        starts = [
+            (start, start_bindings)
+            for start in self._node_candidates(start_pattern, bindings)
+            if (start_bindings := self._bind_node(start_pattern, start, bindings))
+            is not None
+        ]
+        ends = self._shared_ends(start_pattern, end_pattern, bindings)
+        shared = all(
+            is_const for _key, is_const, _payload
+            in self._const_entries(rel_pattern.properties)
+        )
+        from_end = shared and ends is not None and len(ends) < len(starts)
+        trees: Dict[int, _Tree] = {}
+        end_var = end_pattern.variable
+        for start, start_bindings in starts:
+            if ends is None:
+                pairs: Iterable[Tuple[Node, Optional[Bindings]]] = (
+                    (end, self._bind_node(end_pattern, end, start_bindings))
+                    for end in self._node_candidates(end_pattern, start_bindings)
+                )
+            else:
+                pairs = (
+                    (end, start_bindings if end_var is None
+                     else {**start_bindings, end_var: end})
+                    for end in ends
+                )
+            for end, end_bindings in pairs:
                 if end_bindings is None:
                     continue
-                shortest = self._bfs_shortest(
-                    start, end, rel_pattern, end_bindings, used, low, high
-                )
+                root, source = (end, start) if from_end else (start, end)
+                tree = trees.get(root.id) if shared else None
+                if tree is None:
+                    tree = self._bfs_tree(
+                        root, rel_pattern, bindings if shared else end_bindings,
+                        used, high, from_end,
+                    )
+                    if shared:
+                        trees[root.id] = tree
+                entry = tree.get(source.id)
+                if entry is None:
+                    continue
+                if entry[0] < low:
+                    shortest = self._bfs_shortest(
+                        start, end, rel_pattern, end_bindings, used, low, high
+                    )
+                else:
+                    shortest = self._tree_paths(tree, source, from_end)
                 if not shortest:
                     continue
                 emitted = shortest if want_all else shortest[:1]
+                if slot is not None:
+                    slot[0] += len(emitted)
                 for path_value in emitted:
                     final = end_bindings
                     new_used = used | {rel.id for rel in path_value.relationships}
@@ -643,6 +706,98 @@ class PatternMatcher:
                     yield final, new_used, footprint_of(
                         iter(path_value.nodes), iter(path_value.relationships)
                     )
+
+    def _shared_ends(
+        self,
+        start_pattern: ast.NodePattern,
+        end_pattern: ast.NodePattern,
+        bindings: Bindings,
+    ) -> Optional[List[Node]]:
+        """The end candidates passing their label/property checks, resolved
+        once for every start — or ``None`` when the checks depend on the
+        start binding (bound or shared variable, non-literal properties)."""
+        variable = end_pattern.variable
+        if variable is not None and (
+            variable in bindings or variable == start_pattern.variable
+        ):
+            return None
+        if not all(
+            is_const for _key, is_const, _payload
+            in self._const_entries(end_pattern.properties)
+        ):
+            return None
+        labels = self._label_set(end_pattern)
+        return [
+            end
+            for end in self._node_candidates(end_pattern, bindings)
+            if labels <= end.labels
+            and self._properties_match(end, end_pattern.properties, bindings)
+        ]
+
+    def _bfs_tree(
+        self,
+        root: Node,
+        rel_pattern: ast.RelationshipPattern,
+        scope: Mapping[str, Any],
+        used: UsedRels,
+        high: Optional[int],
+        toward_root: bool,
+    ) -> _Tree:
+        """Node-level BFS from ``root`` up to ``high`` hops: node id ->
+        (distance, every (relationship, neighbour) edge one step closer to
+        the root).  ``toward_root`` searches against the pattern's
+        direction, so the tree's paths lead from each node *to* the root.
+        """
+        direction = rel_pattern.direction
+        if toward_root:
+            direction = _REVERSED.get(direction, direction)
+        tree: _Tree = {root.id: (0, [])}
+        frontier = [root]
+        depth = 0
+        while frontier and (high is None or depth < high):
+            depth += 1
+            next_frontier = []
+            for node in frontier:
+                for rel, nxt in self._expand(
+                    node, rel_pattern, scope, used, direction
+                ):
+                    entry = tree.get(nxt.id)
+                    if entry is None:
+                        tree[nxt.id] = (depth, [(rel, node)])
+                        next_frontier.append(nxt)
+                    elif entry[0] == depth:
+                        entry[1].append((rel, node))
+            frontier = next_frontier
+        return tree
+
+    def _tree_paths(
+        self,
+        tree: _Tree,
+        source: Node,
+        toward_root: bool,
+    ) -> List[Path]:
+        """Every shortest path between ``source`` and the tree's root,
+        oriented start-to-end and sorted by relationship-id sequence."""
+        paths: List[Path] = []
+
+        def descend(
+            node: Node, nodes: List[Node], rels: List[Relationship]
+        ) -> None:
+            distance, closer = tree[node.id]
+            if distance == 0:
+                if toward_root:
+                    paths.append(Path(tuple(nodes), tuple(rels)))
+                else:
+                    paths.append(
+                        Path(tuple(reversed(nodes)), tuple(reversed(rels)))
+                    )
+                return
+            for rel, nxt in closer:
+                descend(nxt, nodes + [nxt], rels + [rel])
+
+        descend(source, [source], [])
+        paths.sort(key=lambda p: tuple(rel.id for rel in p.relationships))
+        return paths
 
     def _bfs_shortest(
         self,

@@ -16,7 +16,7 @@ relationship type the query's patterns mention.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.cypher import ast
 from repro.cypher.physical import PhysicalPlan, compile_query
@@ -85,6 +85,9 @@ class PlanCache:
     def __init__(self, quantize: Callable[[int], int] = stats_band):
         self._quantize = quantize
         self._plans: Dict[str, PhysicalPlan] = {}
+        # Rendered query text per query object, keyed by id() with the
+        # query kept alive in the value so a recycled id can never alias.
+        self._keys: Dict[int, Tuple[Any, str]] = {}
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -97,7 +100,7 @@ class PlanCache:
         Raises :class:`~repro.errors.PhysicalPlanError` when the query
         cannot be lowered (never cached; callers remember the failure).
         """
-        text = query.render()
+        text = self._key(query)
         band = band_signature(query, stats_for, self._quantize)
         cached = self._plans.get(text)
         if cached is not None and cached.band == band:
@@ -112,7 +115,17 @@ class PlanCache:
 
     def evict(self, query) -> None:
         """Drop the plan cached for ``query`` (on deregistration)."""
-        self._plans.pop(query.render(), None)
+        self._plans.pop(self._key(query), None)
+        self._keys.pop(id(query), None)
+
+    def _key(self, query) -> str:
+        """The cache key — the query's rendered text, rendered once per
+        query object rather than on every lookup."""
+        entry = self._keys.get(id(query))
+        if entry is None or entry[0] is not query:
+            entry = (query, query.render())
+            self._keys[id(query)] = entry
+        return entry[1]
 
     def __len__(self) -> int:
         return len(self._plans)

@@ -187,15 +187,24 @@ def pattern_hops(path: cypher_ast.PathPattern) -> int:
 
 
 def dirty_neighborhood(
-    graph: PropertyGraph, seeds: Set[int], hops: int
+    graph: PropertyGraph,
+    seeds: Set[int],
+    hops: int,
+    limit: Optional[float] = None,
 ) -> Set[int]:
     """Node ids within ``hops`` undirected hops of any seed node.
 
     Any embedding that touches a dirty entity starts within this set:
     its walk has at most ``hops`` edges and passes through a seed, so the
     start node is at most ``hops`` graph edges away from it.
+
+    With ``limit``, growth stops as soon as the set holds ``limit`` ids:
+    the result is then a partial neighbourhood of at least ``limit``
+    ids, and the complete one whenever that is smaller than ``limit``.
     """
     seen = {node_id for node_id in seeds if node_id in graph.nodes}
+    if limit is not None and len(seen) >= limit:
+        return seen
     frontier = set(seen)
     for _ in range(hops):
         if not frontier:
@@ -206,6 +215,8 @@ def dirty_neighborhood(
                 other = rel.other_end(node_id)
                 if other not in seen:
                     seen.add(other)
+                    if limit is not None and len(seen) >= limit:
+                        return seen
                     grown.add(other)
         frontier = grown
     return seen
@@ -292,17 +303,14 @@ def evaluate_delta(
             full_refresh=False, retained=len(state.assignments), recomputed=0
         )
     else:
-        dirty = delta.dirty_entities()
-        retained = [
-            assignment
-            for assignment in state.assignments
-            if not (assignment[1] & dirty)
-        ]
-        candidates = dirty_neighborhood(
-            graph, delta.seed_node_ids(), pattern_hops(pattern.paths[0])
-        )
         anchor_estimate = node_anchor_cost(
             pattern.paths[0].nodes[0], graph, frozenset(base_scope)
+        )
+        # The neighbourhood only has to grow far enough to decide the
+        # guard below: past anchor_estimate ids it is a full refresh.
+        candidates = dirty_neighborhood(
+            graph, delta.seed_node_ids(), pattern_hops(pattern.paths[0]),
+            limit=anchor_estimate,
         )
         if len(candidates) >= anchor_estimate:
             # The anchored walk would start from at least as many nodes
@@ -314,6 +322,12 @@ def evaluate_delta(
                 recomputed=len(state.assignments),
             )
         else:
+            dirty = delta.dirty_entities()
+            retained = [
+                assignment
+                for assignment in state.assignments
+                if not (assignment[1] & dirty)
+            ]
             fresh = [
                 (record, footprint)
                 for record, footprint in matches(first_candidates=candidates)

@@ -459,6 +459,8 @@ class SeraphEngine:
             delta_reason=delta_reason,
         )
         registered.warnings = warnings
+        if query.name in self._queries:
+            self.plan_cache.evict(self._queries[query.name].query)
         self._queries[query.name] = registered
         if into is not None:
             # One materializer per derived stream, shared by all of its

@@ -14,6 +14,8 @@ import asyncio
 import json
 from typing import Any, AsyncIterator, Dict, Optional, Tuple
 
+from repro.errors import ServiceError
+
 
 class ServiceResponse:
     """One parsed HTTP response (status + headers + decoded body)."""
@@ -86,7 +88,12 @@ class ServiceClient:
         reader: asyncio.StreamReader,
     ) -> Tuple[int, Dict[str, str]]:
         status_line = await reader.readline()
-        status = int(status_line.split()[1])
+        fields = status_line.split()
+        if len(fields) < 2 or not fields[1].isdigit():
+            raise ServiceError(
+                f"malformed response status line {status_line!r}"
+            )
+        status = int(fields[1])
         headers: Dict[str, str] = {}
         while True:
             line = await reader.readline()

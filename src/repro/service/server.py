@@ -289,7 +289,13 @@ class SeraphService:
             return
         try:
             await self._dispatch(request, writer)
-        except ReproError as exc:
+        except (ConnectionError, asyncio.IncompleteReadError,
+                asyncio.TimeoutError):
+            raise
+        except Exception as exc:
+            # Typed library errors map to their status; anything else is
+            # an engine fault and still gets a typed 500, never a
+            # silently closed connection.
             self._respond_error(writer, exc)
         await writer.drain()
 

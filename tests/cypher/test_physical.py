@@ -258,3 +258,32 @@ class TestPlanCache:
         cache.plan_for(query, lambda _s, _w: graph)
         cache.evict(query)
         assert len(cache) == 0
+
+    def test_key_rendered_once_per_query(self, monkeypatch):
+        graph = _graph()
+        cache = PlanCache()
+        query = parse_seraph(SIMPLE)
+        renders = []
+        real_render = type(query).render
+
+        def counting_render(self):
+            renders.append(self.name)
+            return real_render(self)
+
+        monkeypatch.setattr(type(query), "render", counting_render)
+        cache.plan_for(query, lambda _s, _w: graph)
+        after_compile = len(renders)
+        for _ in range(4):
+            cache.plan_for(query, lambda _s, _w: graph)
+        # Hits render nothing: the key was computed on the first lookup.
+        assert len(renders) == after_compile
+        assert cache.stats()["hits"] == 4
+
+    def test_evict_by_equal_query_object(self):
+        # Eviction keys on the rendered text, so a re-parsed copy of the
+        # cached query evicts its plan too.
+        graph = _graph()
+        cache = PlanCache()
+        cache.plan_for(parse_seraph(SIMPLE), lambda _s, _w: graph)
+        cache.evict(parse_seraph(SIMPLE))
+        assert len(cache) == 0

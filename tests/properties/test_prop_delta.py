@@ -5,12 +5,15 @@ configurations — the same contract the full-evaluation engine carries.
 """
 
 import random
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.generators import random_stream
 from repro.seraph import CollectingSink, SeraphEngine
+from repro.seraph import delta as delta_module
+from repro.seraph import engine as engine_module
 from repro.seraph.parser import parse_seraph
 from repro.seraph.semantics import continuous_run
 from repro.stream.stream import PropertyGraphStream
@@ -99,3 +102,50 @@ class TestDeltaPathEqualsDenotational:
         assert len(with_delta) == len(without)
         for left, right in zip(with_delta, without):
             assert left.table.bag_equals(right.table)
+
+
+def _run_recording_stats(elements, query, unlimited):
+    """Emissions plus every evaluation's DeltaStats; ``unlimited`` grows
+    the dirty neighbourhood in full, ignoring the guard's limit."""
+    stats = []
+    real_evaluate = engine_module.evaluate_delta
+    real_neighborhood = delta_module.dirty_neighborhood
+
+    def evaluate(*args, **kwargs):
+        table, outcome = real_evaluate(*args, **kwargs)
+        stats.append((outcome.full_refresh, outcome.retained,
+                      outcome.recomputed))
+        return table, outcome
+
+    def neighborhood(graph, seeds, hops, limit=None):
+        full = real_neighborhood(graph, seeds, hops)
+        if unlimited:
+            return full
+        partial = real_neighborhood(graph, seeds, hops, limit=limit)
+        # The guard decision (len >= limit) never changes, and a set
+        # below the limit — the one an anchored re-match uses — is whole.
+        assert (len(partial) >= limit) == (len(full) >= limit)
+        assert partial == full if len(full) < limit else partial <= full
+        return partial
+
+    with mock.patch.object(engine_module, "evaluate_delta", evaluate), \
+            mock.patch.object(delta_module, "dirty_neighborhood",
+                              neighborhood):
+        engine = SeraphEngine(delta_eval=True)
+        sink = CollectingSink()
+        engine.register(query, sink=sink)
+        engine.run_stream(elements)
+    return sink.emissions, stats
+
+
+class TestNeighbourhoodLimit:
+    @given(data=scenario())
+    @settings(max_examples=40, deadline=None)
+    def test_guard_decisions_and_stats_unchanged(self, data):
+        elements, query = data
+        limited, limited_stats = _run_recording_stats(elements, query, False)
+        full, full_stats = _run_recording_stats(elements, query, True)
+        assert limited_stats == full_stats
+        assert len(limited) == len(full)
+        for left, right in zip(limited, full):
+            assert left.table.table.records == right.table.table.records

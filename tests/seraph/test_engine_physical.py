@@ -8,6 +8,8 @@ per-operator row counts through ``status()`` and ``EXPLAIN ANALYZE``.
 identical results.
 """
 
+import re
+
 import pytest
 
 from repro import EngineConfig, build_engine
@@ -112,6 +114,14 @@ class TestEnginePlans:
         engine.deregister("rentals")
         assert len(engine.plan_cache) == 0
 
+    def test_replace_evicts_old_plan(self):
+        engine = SeraphEngine()
+        _run(engine)
+        engine.register(
+            COUNT_QUERY.replace("EVERY PT5M", "EVERY PT10M"), replace=True
+        )
+        assert len(engine.plan_cache) == 0
+
     def test_status_planner_section(self):
         engine = SeraphEngine()
         _run(engine)
@@ -145,6 +155,32 @@ class TestExplainPhysical:
         assert "IndexSeek" in text
         assert "rows=" in text
         assert "plan_compile" in text  # the compile stage histogram
+
+    def test_explain_analyze_counts_shortest_paths(self):
+        # ShortestPath reports the paths it produced: one per rack and
+        # evaluation here, the same rows its Project parent receives.
+        from repro.usecases.network import (
+            NetworkConfig,
+            NetworkStreamGenerator,
+            anomalous_routes_query,
+        )
+
+        engine = build_engine(EngineConfig(observability=True))
+        sink = CollectingSink()
+        engine.register(anomalous_routes_query(), sink=sink)
+        engine.run_stream(
+            NetworkStreamGenerator(NetworkConfig(racks=6, events=12)).stream()
+        )
+        lines = explain_analyze(engine, "network_anomalies").splitlines()
+
+        def rows_of(marker):
+            line = next(line for line in lines if marker in line)
+            return int(re.search(r" rows=(\d+)", line).group(1))
+
+        paths = 6 * len(sink.emissions)
+        assert paths > 0
+        assert rows_of("ShortestPath(") == paths
+        assert rows_of("AS hops) [op") == paths
 
     def test_explain_analyze_interpreted_fallback_note(self, monkeypatch):
         def boom(*_args, **_kwargs):

@@ -15,6 +15,7 @@ import json
 import pytest
 
 from repro.api import EngineConfig, build_engine
+from repro.errors import ServiceError
 from repro.runtime.checkpoint import graph_to_dict
 from repro.seraph.sinks import CollectingSink
 from repro.service.client import ServiceClient
@@ -603,6 +604,48 @@ class TestErrors:
             )
             assert response.status == 400
             await service.stop()
+
+        run(scenario())
+
+
+class TestUntypedEngineErrors:
+    def test_untyped_ingest_error_answers_typed_500(self):
+        async def scenario():
+            service = await start_service(tenants={"t": spec("t")})
+            client = ServiceClient("127.0.0.1", service.port)
+            await register(client, "t")
+
+            def boom(*_args, **_kwargs):
+                raise RuntimeError("engine exploded")
+
+            service.manager.tenants["t"].engine.ingest_element = boom
+            response = await client.request(
+                "POST", "/tenants/t/streams/default/events",
+                payload=event_payload(figure1_stream()[0]),
+            )
+            assert response.status == 500
+            assert response.json() == {
+                "error": "engine exploded", "type": "RuntimeError",
+            }
+            # The connection-per-request server keeps serving.
+            assert (await client.request("GET", "/healthz")).status == 200
+            await service.stop()
+
+        run(scenario())
+
+    def test_client_raises_service_error_on_empty_status_line(self):
+        async def scenario():
+            async def hang_up(reader, writer):
+                await reader.readline()
+                writer.close()
+
+            server = await asyncio.start_server(hang_up, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            client = ServiceClient("127.0.0.1", port)
+            with pytest.raises(ServiceError, match="status line"):
+                await client.request("GET", "/healthz")
+            server.close()
+            await server.wait_closed()
 
         run(scenario())
 
